@@ -1,98 +1,123 @@
-"""Scheduler/pool behavior-equivalence harness (the hot-path lockdown).
+"""Golden result digests: the behaviour lock on the simulator substrate.
 
-The simulator overhaul (calendar-queue scheduler, packet pooling,
-batched loss draws) is only acceptable if it is *invisible*: every
-experiment must produce a bit-identical result digest no matter which
-scheduler runs it and whether packets are pooled.  These tests run
-real registry experiments under the full configuration matrix
+``golden_digests.json`` holds ``ExperimentResult.digest()`` of every
+built-in report experiment at ``SCALE``, recorded with the Python minor
+version named in the file.  A refactor that claims to preserve
+behaviour must leave every digest byte-identical; a change that moves
+one on purpose regenerates the file and explains the diff.
 
-    (heap, calendar) x (pooled, unpooled)
+* ``test_full_registry_equivalent`` reruns the whole registry in this
+  process, with every ``PGMCC_*`` switch cleared;
+* ``test_representative_experiments_equivalent`` reruns a structurally
+  diverse subset in a fresh interpreter under another
+  ``PYTHONHASHSEED``, so no result may depend on string-hash order.
 
-and assert digest equality against the heap+pooled reference.  A
-representative subset runs in tier-1; the whole registry runs under
-``-m slow``.
+Float formatting and ``random`` streams are only promised stable within
+a Python minor version, so the comparisons skip on any other one.
+Regenerate (after proving the change intended) with::
 
-The scheduler is selected the way production runs select it — through
-``PGMCC_SIM_SCHEDULER``, read by ``make_simulator`` when each
-experiment constructs its ``Network`` — so the harness exercises the
-real wiring, not a test-only hook.
+    PYTHONPATH=src python tests/simulator/test_equivalence.py --write
 """
+
+from __future__ import annotations
+
+import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
-from repro.experiments.run_all import REGISTRY
-from repro.simulator import POOL, set_packet_pooling
-from repro.simulator.engine import SCHEDULER_ENV
+from repro.experiments.run_all import _BUILTIN_SPECS
 
-#: Scale small enough to keep tier-1 fast, large enough that every
-#: experiment schedules thousands of events through queues, loss
-#: models, timers and fault plans.
+GOLDEN = Path(__file__).with_name("golden_digests.json")
+REPO_ROOT = Path(__file__).resolve().parents[2]
+
+#: Small enough for tier-1, large enough that every experiment pushes
+#: thousands of events through queues, loss models, timers and faults.
 SCALE = 0.05
 
-#: Fast, structurally diverse subset for tier-1: plain fairness,
-#: TCP competition, NE suppression, scripted faults, ECMP reordering
-#: and bursty (Gilbert) loss.
+#: Report experiments (hidden sweep cells are covered by their parents).
+SPECS = {spec.id: spec for spec in _BUILTIN_SPECS if not spec.hidden}
+
+#: Plain fairness, TCP competition, NE suppression, scripted faults,
+#: ECMP reordering and bursty (Gilbert) loss.
 REPRESENTATIVE = ("EXP-F3", "EXP-F4", "EXP-F6", "EXP-CHAOS",
                   "EXP-MPATH", "ABL-BURST")
 
-MATRIX = [("heap", True), ("heap", False),
-          ("calendar", True), ("calendar", False)]
 
-_SPECS = {spec.id: spec for spec in REGISTRY}
-
-
-@pytest.fixture(autouse=True)
-def _restore_engine_config(monkeypatch):
-    """Every test leaves the process on default scheduler + pooling."""
-    monkeypatch.delenv(SCHEDULER_ENV, raising=False)
-    yield
-    set_packet_pooling(True)
+def python_minor() -> str:
+    return f"{sys.version_info.major}.{sys.version_info.minor}"
 
 
-def run_config(monkeypatch, spec, scheduler, pooled):
-    monkeypatch.setenv(SCHEDULER_ENV, scheduler)
-    set_packet_pooling(pooled)
-    before = POOL.double_release
-    result = spec.run(SCALE)
-    assert POOL.double_release == before, (
-        f"{spec.id} under ({scheduler}, pooled={pooled}) "
-        "double-released a packet"
-    )
-    return result.digest()
+def compute_digests(ids) -> dict[str, str]:
+    return {exp_id: SPECS[exp_id].run(SCALE).digest() for exp_id in ids}
 
 
-def assert_matrix_equivalent(monkeypatch, spec):
-    reference = run_config(monkeypatch, spec, "heap", True)
-    for scheduler, pooled in MATRIX[1:]:
-        digest = run_config(monkeypatch, spec, scheduler, pooled)
-        assert digest == reference, (
-            f"{spec.id}: ({scheduler}, pooled={pooled}) diverged from "
-            f"the heap+pooled reference"
-        )
+def defaults_env() -> dict[str, str]:
+    """This environment minus the program's own ``PGMCC_*`` switches."""
+    return {k: v for k, v in os.environ.items() if not k.startswith("PGMCC_")}
 
 
-@pytest.mark.parametrize("exp_id", REPRESENTATIVE)
-def test_representative_experiments_equivalent(monkeypatch, exp_id):
-    assert_matrix_equivalent(monkeypatch, _SPECS[exp_id])
+@pytest.fixture(scope="module")
+def golden() -> dict:
+    doc = json.loads(GOLDEN.read_text())
+    if doc["python"] != python_minor():
+        pytest.skip(f"golden digests were recorded with Python "
+                    f"{doc['python']}; this is Python {python_minor()}")
+    return doc["digests"]
 
 
-@pytest.mark.slow
-@pytest.mark.parametrize("exp_id", sorted(_SPECS))
-def test_full_registry_equivalent(monkeypatch, exp_id):
-    assert_matrix_equivalent(monkeypatch, _SPECS[exp_id])
+@pytest.fixture(scope="module")
+def other_hash_seed_digests() -> dict[str, str]:
+    env = defaults_env()
+    env["PYTHONHASHSEED"] = "12345"
+    env["PYTHONPATH"] = os.pathsep.join(
+        [str(REPO_ROOT / "src")] + [p for p in [env.get("PYTHONPATH")] if p])
+    proc = subprocess.run(
+        [sys.executable, __file__, "--print", *REPRESENTATIVE],
+        cwd=REPO_ROOT, env=env, capture_output=True, text=True, timeout=300)
+    assert proc.returncode == 0, proc.stderr
+    return json.loads(proc.stdout)
+
+
+def test_golden_file_covers_the_registry():
+    doc = json.loads(GOLDEN.read_text())
+    assert doc["scale"] == SCALE
+    assert sorted(doc["digests"]) == sorted(SPECS)
 
 
 def test_representative_subset_is_current():
-    """Every representative id still exists in the registry."""
-    missing = [i for i in REPRESENTATIVE if i not in _SPECS]
+    missing = [i for i in REPRESENTATIVE if i not in SPECS]
     assert not missing, f"stale representative ids: {missing}"
 
 
-def test_scheduler_env_reaches_network(monkeypatch):
-    """The env knob drives Network construction end to end."""
-    from repro.simulator import Network
+@pytest.mark.parametrize("exp_id", sorted(SPECS))
+def test_full_registry_equivalent(monkeypatch, golden, exp_id):
+    for key in [k for k in os.environ if k.startswith("PGMCC_")]:
+        monkeypatch.delenv(key)
+    assert compute_digests([exp_id])[exp_id] == golden[exp_id], (
+        f"{exp_id} at scale {SCALE} no longer reproduces its recorded "
+        "result digest")
 
-    monkeypatch.setenv(SCHEDULER_ENV, "calendar")
-    assert Network(seed=1).sim.kind == "calendar"
-    monkeypatch.setenv(SCHEDULER_ENV, "heap")
-    assert Network(seed=1).sim.kind == "heap"
+
+@pytest.mark.parametrize("exp_id", REPRESENTATIVE)
+def test_representative_experiments_equivalent(golden,
+                                               other_hash_seed_digests,
+                                               exp_id):
+    assert other_hash_seed_digests[exp_id] == golden[exp_id], (
+        f"{exp_id} depends on PYTHONHASHSEED")
+
+
+if __name__ == "__main__":
+    command, ids = sys.argv[1:2], sys.argv[2:]
+    if command == ["--print"]:
+        print(json.dumps(compute_digests(ids)))
+    elif command == ["--write"] and not ids:
+        doc = {"python": python_minor(), "scale": SCALE,
+               "digests": compute_digests(SPECS)}
+        GOLDEN.write_text(json.dumps(doc, indent=2, sort_keys=True) + "\n")
+        print(f"wrote {len(doc['digests'])} digests to {GOLDEN}")
+    else:
+        sys.exit("usage: test_equivalence.py --write | --print EXP-ID...")

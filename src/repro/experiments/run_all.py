@@ -1,13 +1,12 @@
-"""The built-in experiment registry + the legacy sequential CLI.
+"""The built-in experiment registry + the sequential CLI entry point.
 
 Usage::
 
     python -m repro.experiments.run_all [runner flags]
 
-This module is now a thin delegate to the ``repro.runner`` CLI — one
-flag set for both entry points (``pgmcc-experiments`` accepts exactly
-what ``pgmcc-runner`` accepts).  The historic positional ``[scale]``
-argument still works but is deprecated; use ``--scale``.
+This module is a thin delegate to the ``repro.runner`` CLI — one flag
+set for both entry points (``pgmcc-experiments`` accepts exactly what
+``pgmcc-runner`` accepts).
 
 The experiments themselves are registered with
 :func:`~repro.experiments.registry.register_experiment` below — one
@@ -25,8 +24,7 @@ from __future__ import annotations
 import sys
 
 from .common import ExperimentSpec, ParamSpec
-from .registry import (RegistryView, register_experiment,
-                       registered_specs, resolve_experiment_id)
+from .registry import RegistryView, register_experiment, registered_specs
 
 _SEED = ParamSpec("seed", "int", low=0, help="deterministic RNG seed")
 _CONTROLLERS = ParamSpec(
@@ -132,9 +130,6 @@ for _spec in _BUILTIN_SPECS:
 #: ``register_experiment`` calls show up here without edits.
 REGISTRY = RegistryView()
 
-#: Backward-compatible view: ``[(exp_id, fn(scale) -> result), ...]``.
-RUNS = [(spec.id, spec.run) for spec in REGISTRY]
-
 
 def specs_by_id(ids=None) -> list[ExperimentSpec]:
     """Resolve a subset of experiment ids (all *report* entries when
@@ -192,36 +187,12 @@ def main(scale: float = 1.0) -> int:
 
 
 def main_cli(argv: list[str] | None = None) -> None:
-    """Console-script entry point (``pgmcc-experiments``).
-
-    A thin delegate to the ``repro.runner`` CLI: both entry points now
-    share one flag set (``--scale``, ``-j``, ``--no-cache``, ...).  The
-    historic positional ``[scale]`` argument is mapped to ``--scale``
-    with a deprecation warning.
-    """
-    import warnings
-
+    """Console-script entry point (``pgmcc-experiments``): the
+    ``repro.runner`` CLI under another name (``--scale``, ``-j``,
+    ``--no-cache``, ...)."""
     from ..runner.cli import main as runner_main
 
-    argv = list(sys.argv[1:] if argv is None else argv)
-    mapped: list[str] = []
-    for arg in argv:
-        is_scale = False
-        if resolve_experiment_id(arg) is None and arg != "run":
-            try:
-                float(arg)
-                is_scale = True
-            except ValueError:
-                pass
-        if is_scale:
-            message = ("the positional [scale] argument is deprecated; "
-                       f"use --scale {arg}")
-            warnings.warn(message, DeprecationWarning, stacklevel=2)
-            print(f"warning: {message}", file=sys.stderr)
-            mapped += ["--scale", arg]
-        else:
-            mapped.append(arg)
-    sys.exit(runner_main(mapped))
+    sys.exit(runner_main(sys.argv[1:] if argv is None else argv))
 
 
 if __name__ == "__main__":

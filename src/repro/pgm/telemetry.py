@@ -68,7 +68,6 @@ from __future__ import annotations
 
 from typing import TYPE_CHECKING
 
-from ..simulator.packet import POOL
 from ..telemetry import make_probe
 from ..telemetry.registry import MetricsRegistry, NullRegistry
 
@@ -148,11 +147,10 @@ def bind_session_metrics(session: "PgmSession",
                            for link in node.links.values())
 
     bind("net.events_processed", lambda: sim.events_processed)
-    # Only the double-release canary is bound: it is deterministically
-    # zero in correct code regardless of run order, while the pool's
-    # outstanding count is process-global and order-dependent (binding
-    # it would poison run-manifest digests and cache oracles).
-    bind("pool.double_release", lambda: POOL.double_release)
+    # A retired counter held at 0: the key is part of the
+    # pgmcc.session-metrics/v1 schema and so of every telemetry-bearing
+    # result digest; dropping it is a schema version bump.
+    bind("pool.double_release", lambda: 0)
     bind("net.queue_drops", link_sum("queue_drops"))
     bind("net.random_drops", link_sum("random_drops"))
     bind("net.fault_drops",

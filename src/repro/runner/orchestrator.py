@@ -256,6 +256,12 @@ class Orchestrator:
 
             progressed = False
             for run in list(running.values()):
+                # Liveness before the poll: a worker that exited before
+                # this check has already put its result in the pipe for
+                # the poll to see, and one that exits after it is seen
+                # next round, so a finished worker is never taken for a
+                # crashed one.
+                alive = run.process.is_alive()
                 if run.conn.poll(0):
                     try:
                         kind, payload = run.conn.recv()
@@ -268,7 +274,7 @@ class Orchestrator:
                         }
                     settle(run, kind, payload)
                     progressed = True
-                elif not run.process.is_alive():
+                elif not alive:
                     settle(run, "error", {
                         "type": "WorkerCrash",
                         "message": f"worker exited with code "

@@ -10,13 +10,11 @@ Public surface::
 """
 
 from .engine import (
-    CalendarSimulator,
     Event,
     Simulator,
     Timer,
     cancel_event,
     describe_event,
-    make_simulator,
 )
 from .faults import (
     ACKER,
@@ -53,12 +51,9 @@ from .loss_models import (
 from .node import EcmpRouter, Host, Node, Router
 from .packet import (
     MULTICAST_PREFIX,
-    POOL,
     Address,
     Packet,
-    PacketPool,
     is_multicast,
-    set_packet_pooling,
 )
 from .queues import DropTailQueue, RedQueue
 from .rng import RngRegistry
@@ -77,13 +72,11 @@ from .topology import (
 from .trace import FlowTrace, TraceRecord, TraceSet
 
 __all__ = [
-    "CalendarSimulator",
     "Event",
     "Simulator",
     "Timer",
     "cancel_event",
     "describe_event",
-    "make_simulator",
     "ACKER",
     "AckReplay",
     "BurstLoss",
@@ -117,12 +110,9 @@ __all__ = [
     "Node",
     "Router",
     "MULTICAST_PREFIX",
-    "POOL",
     "Address",
     "Packet",
-    "PacketPool",
     "is_multicast",
-    "set_packet_pooling",
     "DropTailQueue",
     "RedQueue",
     "RngRegistry",

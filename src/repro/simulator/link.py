@@ -119,20 +119,13 @@ class Link:
         self._observers.append(fn)
 
     def _notify(self, event: str, packet: Packet) -> None:
-        # Observers borrow the packet: they must not release it or
-        # hold it past the callback (pooled packets get recycled).
         for fn in self._observers:
             fn(self.sim.now, event, packet)
 
     # -- data path ---------------------------------------------------------
 
     def send(self, packet: Packet) -> bool:
-        """Offer a packet to the link.  Returns False if it was dropped.
-
-        Consumes one packet reference on every path: dropped packets
-        are released here, accepted ones carry the reference through
-        queue and transmission to the delivery target.
-        """
+        """Offer a packet to the link.  Returns False if it was dropped."""
         self.sent += 1
         if self._observers:
             self._notify("send", packet)
@@ -140,20 +133,17 @@ class Link:
             self.fault_drops += 1
             if self._observers:
                 self._notify("drop-fault", packet)
-            packet.release()
             return False
         if (self._filter_kinds is not None
                 and type(packet.payload).__name__ in self._filter_kinds):
             self.filter_drops += 1
             if self._observers:
                 self._notify("drop-filter", packet)
-            packet.release()
             return False
         if self.loss.should_drop(packet):
             self.random_drops += 1
             if self._observers:
                 self._notify("drop-loss", packet)
-            packet.release()
             return False
         if self._fault_rng is not None:
             if self._corrupt_rate > 0.0 and self._fault_rng.random() < self._corrupt_rate:
@@ -163,16 +153,14 @@ class Link:
                 if mangled is None:
                     self.corrupt_drops += 1
                     self._notify("drop-corrupt", packet)
-                    packet.release()
                     return False
                 self.corrupt_mangled += 1
                 self._notify("mangle", packet)
-                packet.release()
                 packet = mangled
             if self._dup_rate > 0.0 and self._fault_rng.random() < self._dup_rate:
                 self.fault_duplicates += 1
                 self._notify("duplicate", packet)
-                self._accept(packet.retain())
+                self._accept(packet)
         return self._accept(packet)
 
     def _accept(self, packet: Packet) -> bool:
@@ -180,7 +168,6 @@ class Link:
             if not self.queue.offer(packet):
                 if self._observers:
                     self._notify("drop-queue", packet)
-                packet.release()
                 return False
             return True
         self._start_transmission(packet)
@@ -208,9 +195,7 @@ class Link:
             self._notify("deliver", packet)
         deliver = self.deliver
         if deliver is not None:
-            deliver(packet)  # the target consumes the reference
-        else:
-            packet.release()
+            deliver(packet)
 
     # -- fault hooks -------------------------------------------------------
 

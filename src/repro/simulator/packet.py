@@ -1,4 +1,4 @@
-"""Simulated network packets and the packet pool.
+"""Simulated network packets.
 
 Packets carry a protocol *payload object* (a PGM or TCP message) plus
 the addressing metadata the simulator needs to route and account for
@@ -6,42 +6,14 @@ them.  The ``size`` field — total bytes on the wire — is what links use
 for serialisation delay and byte-limited queues, so protocol code must
 set it to header + payload length.
 
-Pooling and the ownership contract
-----------------------------------
-
-``Packet`` is a slotted, reference-counted class recycled through a
-process-global free list (:data:`POOL`), so the per-packet allocation
-churn of the old dataclass is gone from the hot path.  ``Packet(...)``
-call sites are unchanged: ``__new__`` transparently reuses a released
-instance when pooling is enabled (``PGMCC_PACKET_POOL``, default on)
-and ``__init__`` re-stamps every field including a fresh ``uid``, so
-pooled and unpooled runs are behaviour-identical.
-
-Ownership rules (enforced by the simulator layer, invisible to
-protocol agents — see DESIGN.md "Packet pool"):
-
-* creating a packet gives the creator one reference;
-* ``Host.send`` and ``Link.send`` *consume* one reference on every
-  path (drop or transmit);
-* multicast fan-out retains one reference per branch, so replicated
-  branches legally share the one instance;
-* ``receive`` consumes the reference on final delivery or drop;
-* router interceptors *borrow* — an interceptor that re-forwards the
-  same packet object must ``retain()`` it first;
-* link observers and traces borrow and must not hold packets past the
-  callback.
-
-``release()`` on an already-released packet is counted
-(``POOL.double_release``) instead of corrupting the free list — the
-canary for the fault-episode/queue double-release class of bug — and
-``Packet.__repr__`` guards the released state so debug output and
-event dumps never render stale pooled fields.
+Multicast fan-out hands the one ``Packet`` instance to every branch,
+so nothing downstream of a router may mutate a packet except the
+``hops`` loop guard (see :class:`~repro.simulator.node.Router`).
 """
 
 from __future__ import annotations
 
 import itertools
-import os
 from dataclasses import dataclass
 from typing import Any, Optional
 
@@ -51,88 +23,12 @@ Address = str
 #: Multicast group addresses use this prefix.
 MULTICAST_PREFIX = "mc:"
 
-#: Environment variable gating packet pooling ("0"/"off"/"false" disable).
-POOL_ENV = "PGMCC_PACKET_POOL"
-
 _packet_ids = itertools.count(1)
 
 
 def is_multicast(addr: Address) -> bool:
     """True if ``addr`` names a multicast group rather than a host."""
     return addr.startswith(MULTICAST_PREFIX)
-
-
-class PacketPool:
-    """Free list + accounting for recycled :class:`Packet` instances.
-
-    The counters make leaks observable: ``outstanding`` is the number
-    of live (not-yet-released) packets, which returns to zero once a
-    drained scenario has released everything, and ``double_release``
-    counts releases of already-dead packets (always zero in correct
-    code; surfaced via ``repro.telemetry`` as ``pool.double_release``).
-    """
-
-    __slots__ = ("enabled", "free", "allocated", "reused", "released",
-                 "double_release")
-
-    def __init__(self, enabled: bool = True):
-        self.enabled = enabled
-        self.free: list["Packet"] = []
-        #: fresh instances constructed
-        self.allocated = 0
-        #: constructions served from the free list
-        self.reused = 0
-        #: packets whose refcount reached zero
-        self.released = 0
-        #: releases of an already-released packet (bug canary)
-        self.double_release = 0
-
-    @property
-    def outstanding(self) -> int:
-        """Live packets: created (fresh + reused) minus released."""
-        return self.allocated + self.reused - self.released
-
-    def stats(self) -> dict:
-        """Counter snapshot for telemetry and leak assertions."""
-        return {
-            "enabled": self.enabled,
-            "allocated": self.allocated,
-            "reused": self.reused,
-            "released": self.released,
-            "double_release": self.double_release,
-            "outstanding": self.outstanding,
-            "free": len(self.free),
-        }
-
-    def reset(self) -> None:
-        """Zero the counters and drop the free list (test isolation)."""
-        self.free.clear()
-        self.allocated = 0
-        self.reused = 0
-        self.released = 0
-        self.double_release = 0
-
-
-def _env_pooling() -> bool:
-    return os.environ.get(POOL_ENV, "1").lower() not in ("0", "off", "false")
-
-
-#: The process-global pool.  All ``Packet`` construction and release
-#: goes through it; disable with ``set_packet_pooling(False)`` or
-#: ``PGMCC_PACKET_POOL=0`` (refcount accounting stays on either way).
-POOL = PacketPool(enabled=_env_pooling())
-
-
-def set_packet_pooling(enabled: bool) -> None:
-    """Turn free-list reuse on or off process-wide.
-
-    Disabling also drops the current free list so no stale instance is
-    ever handed out later.  Reference counting and the leak counters
-    are always active — only the recycling is optional.
-    """
-    POOL.enabled = bool(enabled)
-    if not POOL.enabled:
-        POOL.free.clear()
 
 
 class Packet:
@@ -149,21 +45,13 @@ class Packet:
             sender; used by trace analysis).
         hops: incremented by each router; a TTL-style safety net
             against forwarding loops.
-        uid: unique id, fresh per construction (pooled reuse included).
+        uid: unique id, fresh per construction.
     """
 
     __slots__ = ("src", "dst", "size", "payload", "proto", "created_at",
-                 "hops", "uid", "_refs")
+                 "hops", "uid")
 
     MAX_HOPS = 64
-
-    def __new__(cls, *args: Any, **kwargs: Any) -> "Packet":
-        pool = POOL
-        if pool.enabled and pool.free and cls is Packet:
-            pool.reused += 1
-            return pool.free.pop()
-        pool.allocated += 1
-        return object.__new__(cls)
 
     def __init__(
         self,
@@ -184,45 +72,8 @@ class Packet:
         self.created_at = created_at
         self.hops = hops
         self.uid = next(_packet_ids) if uid is None else uid
-        self._refs = 1
-
-    # -- lifecycle -------------------------------------------------------
-
-    @property
-    def live(self) -> bool:
-        """False once every reference has been released."""
-        return self._refs > 0
-
-    def retain(self) -> "Packet":
-        """Add a reference (one per extra owner, e.g. multicast branch)."""
-        self._refs += 1
-        return self
-
-    def release(self) -> None:
-        """Drop one reference; the last release recycles the packet.
-
-        Releasing an already-dead packet is counted in
-        ``POOL.double_release`` and otherwise ignored, so a
-        double-release bug can never hand the same instance out twice.
-        """
-        refs = self._refs
-        if refs <= 0:
-            POOL.double_release += 1
-            return
-        refs -= 1
-        self._refs = refs
-        if refs == 0:
-            pool = POOL
-            pool.released += 1
-            self.payload = None  # drop the payload reference eagerly
-            if pool.enabled and type(self) is Packet:
-                pool.free.append(self)
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        if self._refs <= 0:
-            # Guard: a released (possibly recycled-soon) packet must
-            # not render stale routing/payload fields.
-            return f"<Packet #{self.uid} released>"
         return (
             f"<Packet #{self.uid} {self.proto} {self.src}->{self.dst} "
             f"{self.size}B {self.payload!r}>"

@@ -52,12 +52,7 @@ class DropTailQueue:
         return True
 
     def offer(self, packet: Packet) -> bool:
-        """Enqueue ``packet`` if it fits; return whether it was accepted.
-
-        A queued packet's reference lives in the queue until
-        :meth:`pop` hands it back (or :meth:`clear` releases it);
-        rejected packets stay owned by the caller.
-        """
+        """Enqueue ``packet`` if it fits; return whether it was accepted."""
         # Inlined limit checks + single-pass byte/peak accounting: this
         # runs once per packet on every congested link.
         queue = self._queue
@@ -88,16 +83,8 @@ class DropTailQueue:
         return packet
 
     def clear(self) -> None:
-        """Drop everything queued, releasing each packet's reference
-        exactly once (teardown/fault path).  Packets a fault already
-        released are caught by the pool's double-release counter, not
-        recycled twice."""
-        queue = self._queue
-        while queue:
-            packet = queue.popleft()
-            release = getattr(packet, "release", None)
-            if release is not None:
-                release()
+        """Drop everything queued (teardown path)."""
+        self._queue.clear()
         self.bytes_queued = 0
 
     def metrics(self) -> dict:

@@ -192,22 +192,6 @@ class TestValidateKwargs:
 
 
 class TestRunAllCliDelegation:
-    def test_positional_scale_maps_with_deprecation(self, monkeypatch,
-                                                    capsys):
-        captured = {}
-
-        def fake_runner_main(argv):
-            captured["argv"] = argv
-            return 0
-
-        monkeypatch.setattr("repro.runner.cli.main", fake_runner_main)
-        with pytest.warns(DeprecationWarning, match="--scale"):
-            with pytest.raises(SystemExit) as exit_info:
-                run_all.main_cli(["0.25", "EXP-F2"])
-        assert exit_info.value.code == 0
-        assert captured["argv"] == ["--scale", "0.25", "EXP-F2"]
-        assert "deprecated" in capsys.readouterr().err
-
     def test_runner_flags_pass_through(self, monkeypatch):
         captured = {}
         monkeypatch.setattr(

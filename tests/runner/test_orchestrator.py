@@ -193,7 +193,8 @@ class TestTelemetry:
                            on_event=events.append)
         orch.run()
         kinds = [e.kind for e in events]
-        assert kinds == ["queued", "start", "done"]
+        assert kinds == ["queued", "start", "done"], "\n".join(
+            f"{e.kind} attempt={e.attempt} {e.message!r}" for e in events)
         done = events[-1]
         assert done.task_id == "TOY-E"
         assert done.wall_s is not None and done.wall_s >= 0

@@ -1,6 +1,11 @@
 """Unit tests for the loss models."""
 
+import os
 import random
+import subprocess
+import sys
+import textwrap
+from pathlib import Path
 
 import pytest
 
@@ -54,6 +59,20 @@ class TestBernoulli:
         seq_b = [b.should_drop(pkt()) for _ in range(50)]
         assert seq_a == seq_b
 
+    def test_batch_validation(self):
+        with pytest.raises(ValueError):
+            BernoulliLoss(0.1, random.Random(1), batch=0)
+
+    @pytest.mark.parametrize("rate", [0.01, 0.03, 0.5])
+    def test_batched_draws_match_unbatched(self, rate):
+        """Every lossy topology link uses batch=256, so its digest rests
+        on batched decisions equalling per-packet draws exactly."""
+        n = 40 * 256 + 17  # 41 refills, the last one consumed in part
+        batched = BernoulliLoss(rate, random.Random(5), batch=256)
+        direct = BernoulliLoss(rate, random.Random(5), batch=1)
+        assert ([batched.should_drop(pkt()) for _ in range(n)]
+                == [direct.should_drop(pkt()) for _ in range(n)])
+
 
 class TestGilbertElliott:
     def test_parameter_validation(self):
@@ -104,3 +123,31 @@ class TestPeriodic:
         model = PeriodicLoss(10, offset=5)
         drops = [model.should_drop(pkt()) for _ in range(10)]
         assert drops.index(True) == 4
+
+
+def test_runs_without_numpy():
+    """The package and a lossy session need nothing beyond the stdlib
+    and networkx: numpy is blocked outright in a fresh interpreter."""
+    script = textwrap.dedent("""
+        import sys
+        sys.modules["numpy"] = None
+        import repro.experiments.run_all
+        from repro.pgm import create_session
+        from repro.simulator import LOSSY, dumbbell
+
+        net = dumbbell(1, 3, LOSSY, seed=1)
+        session = create_session(net, "h0", ["r0", "r1", "r2"])
+        net.run(until=5.0)
+        drops = sum(link.random_drops for node in net.nodes.values()
+                    for link in node.links.values())
+        print(session.summary()["odata_sent"], drops)
+    """)
+    src = Path(__file__).resolve().parents[2] / "src"
+    env = {k: v for k, v in os.environ.items() if not k.startswith("PGMCC_")}
+    env["PYTHONPATH"] = os.pathsep.join(
+        [str(src)] + [p for p in [env.get("PYTHONPATH")] if p])
+    proc = subprocess.run([sys.executable, "-c", script], env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    odata, drops = map(int, proc.stdout.split())
+    assert odata > 0 and drops > 0
